@@ -18,6 +18,9 @@ asserted holds on any machine:
    carry the ``scaleout_master_chaos`` section with the byte-identity
    verdict, lossless recoveries, a real p99 and a non-empty chaos
    schedule, so the committed trajectory record itself proves the claim.
+
+3. **The CI supervised-master gate** — guard 1 on the CI shape (1000
+   objects, 800 requests), once per worker count.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.experiments.bench import run_master_chaos_workload
 from repro.experiments.scaleout import multiproc_master_chaos_run
 
 from conftest import run_once
@@ -76,3 +82,30 @@ def test_committed_bench_record_proves_the_claim():
     assert recovery["recoveries"] >= 1
     assert recovery["lossless_recoveries"] == recovery["recoveries"]
     assert recovery["lost_updates"] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4], ids=lambda w: f"workers{w}")
+def test_master_chaos_gate(workers):
+    """The CI supervised-master gate, one worker count per CI matrix job
+    (``-k workers<N>``): simulated control-plane faults and real SIGKILLs
+    on one timeline — one kill landing mid-migration — heal losslessly,
+    with the report (real merged p99 included) byte-identical to the
+    fault-only reference."""
+    row = run_master_chaos_workload(
+        num_objects=1000,
+        num_requests=800,
+        repeats=1,
+        num_workers=workers,
+    )
+    recovery = row["recovery"]
+    print(
+        f"recoveries={recovery['recoveries']} "
+        f"lossless={recovery['lossless_recoveries']} "
+        f"lost_updates={recovery['lost_updates']} "
+        f"p99={row['p99_service_time_s']} "
+        f"match={row['report_matches_fault_free']}"
+    )
+    assert row["report_matches_fault_free"], "report diverged after healing"
+    assert recovery["recoveries"] >= workers
+    assert recovery["lost_updates"] == 0
+    assert row["p99_service_time_s"] > 0.0

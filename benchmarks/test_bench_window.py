@@ -20,12 +20,17 @@ asserts on elapsed time.  What *is* asserted holds on any machine:
    carry the ``scaleout_window`` section with every window variant
    present, byte-identical reports and the same falling wait ratio, so
    the committed trajectory record itself proves the overlap claim.
+
+4. **The CI window-axis gate** — guards 1 and 2 on the larger CI shape
+   (8 shards, 1000 objects), once per worker count.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.experiments.scaleout import multiproc_window_run
 
@@ -102,3 +107,32 @@ def test_committed_bench_record_proves_the_claim():
         variants["window_8"]["blocking_waits"] * 4
         <= variants["window_1"]["blocking_waits"]
     )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4], ids=lambda w: f"workers{w}")
+def test_window_axis_gate(workers):
+    """The CI window-axis gate, one worker count per CI matrix job
+    (``-k workers<N>``): at this worker count an 8-deep in-flight window
+    must leave the report byte-identical to the unpipelined engine while
+    blocking at most a quarter as often per batch.  Both counters are pure
+    functions of the stream and W — no clocks."""
+    results = {}
+    for window in (1, 8):
+        _outcome, _wall, pipeline, report = multiproc_window_run(
+            backend="process",
+            num_workers=workers,
+            num_shards=8,
+            num_objects=1000,
+            num_updates=1024,
+            batch_size=128,
+            window=window,
+        )
+        results[window] = (pipeline, report)
+        print(
+            f"window={window} rounds={pipeline['rounds_enqueued']} "
+            f"blocking_waits={pipeline['blocking_waits']}"
+        )
+    assert results[1][1] == results[8][1], "window changed the report"
+    waits_w1 = results[1][0]["blocking_waits"]
+    waits_w8 = results[8][0]["blocking_waits"]
+    assert waits_w8 * 4 <= waits_w1, (waits_w1, waits_w8)

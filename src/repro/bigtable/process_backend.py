@@ -431,18 +431,6 @@ class FederatedShardedBackend:
         ]
         return [entry.result() for entry in pending]
 
-    def begin_query_broadcast(self, queries) -> List[Any]:
-        """One probe set to every shard; pending results in shard order."""
-        return [client.begin_query_batch(queries) for client in self.clients]
-
-    def begin_update_scatter(self, buckets) -> List[Tuple[int, Any]]:
-        """Dispatch per-shard update batches; ``(shard_id, pending)`` pairs
-        in bucket order."""
-        return [
-            (shard_id, self.clients[shard_id].begin_update_batch(messages))
-            for shard_id, messages in buckets
-        ]
-
     # ------------------------------------------------------------------
     # StorageBackend protocol
     # ------------------------------------------------------------------
@@ -640,55 +628,6 @@ class ProcessShardedBackend(FederatedShardedBackend):
     @property
     def num_workers(self) -> int:
         return self.pool.num_workers
-
-    def _shards_by_connection(self):
-        """Shard ids grouped by owning connection, in shard order."""
-        grouped: Dict[rpc.RpcConnection, List[int]] = {}
-        for shard_id, client in enumerate(self.clients):
-            grouped.setdefault(client.connection, []).append(shard_id)
-        return grouped.items()
-
-    def begin_query_broadcast(self, queries) -> List[Any]:
-        """Encode the probe set once for the whole federation and flush each
-        connection's share of the broadcast as one batched ``sendall``."""
-        queries = list(queries)
-        body = rpc.encode_query_batch(queries)
-        pending: List[Any] = [None] * len(self.clients)
-        for connection, shard_ids in self._shards_by_connection():
-            request_ids = connection.send_requests(
-                (shard_id, rpc.OP_QUERY_BATCH, body) for shard_id in shard_ids
-            )
-            for shard_id, request_id in zip(shard_ids, request_ids):
-                pending[shard_id] = _RemoteResult(
-                    connection,
-                    request_id,
-                    _query_decoder(
-                        self.clients[shard_id].neighbor_decoder, queries
-                    ),
-                )
-        return pending
-
-    def begin_update_scatter(self, buckets) -> List[Tuple[int, Any]]:
-        """Per-shard update batches, framed together per connection."""
-        grouped: Dict[rpc.RpcConnection, List[Tuple[int, bytes]]] = {}
-        order: List[int] = []
-        for shard_id, messages in buckets:
-            connection = self.clients[shard_id].connection
-            grouped.setdefault(connection, []).append(
-                (shard_id, rpc.encode_update_batch(messages))
-            )
-            order.append(shard_id)
-        results: Dict[int, _RemoteResult] = {}
-        for connection, entries in grouped.items():
-            request_ids = connection.send_requests(
-                (shard_id, rpc.OP_UPDATE_BATCH, body)
-                for shard_id, body in entries
-            )
-            for (shard_id, _), request_id in zip(entries, request_ids):
-                results[shard_id] = _RemoteResult(
-                    connection, request_id, _decode_update_result
-                )
-        return [(shard_id, results[shard_id]) for shard_id in order]
 
     def serialized_bytes(self) -> int:
         return self.pool.bytes_sent() + self.pool.bytes_received()

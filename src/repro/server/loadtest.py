@@ -895,10 +895,6 @@ class ScaleOutLoadTest(LoadTest):
         makespan: float,
         timeline: List[TimelinePoint],
     ) -> LoadTestResult:
-        # Failures injected with no dispatch round left to detect them
-        # would crash the unsupervised metrics scatter below.
-        if getattr(self.cluster, "supervisor", None) is not None:
-            self.cluster.heal_dead_workers()
         per_server: List[float] = []
         for entry in self.cluster.metrics():
             for updates, queries, update_busy, query_busy, _alive in entry["servers"]:

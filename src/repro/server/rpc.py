@@ -47,8 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.codec import wire as _wire
 from repro.errors import FrameCorruptionError, RpcError, WorkerDiedError
-from repro.geometry.point import Point
-from repro.model import NeighborResult, UpdateMessage, format_object_id
+from repro.model import UpdateMessage
 from repro.workload.queries import NNQuery
 
 # --------------------------------------------------------------------------
@@ -127,14 +126,8 @@ def read_frame(sock: socket.socket) -> Tuple[int, int, int, int, bytes]:
 # Compact codecs (reconstruct-don't-store)
 # --------------------------------------------------------------------------
 
-_COUNT = struct.Struct("!I")
 _FLAG_PICKLED = _wire.FLAG_PICKLED
 _FLAG_COMPACT = _wire.FLAG_COLUMNAR
-
-#: The integer behind ``format_object_id`` ids, or ``None`` (re-exported —
-#: the implementation moved to the shared codec layer).
-_numeric_object_id = _wire.numeric_object_id
-
 
 def encode_update_batch(messages: Sequence[UpdateMessage]) -> bytes:
     """Columnar encoding of one group-commit buffer; pickle fallback when
@@ -167,82 +160,6 @@ def decode_query_batch(body: bytes) -> List[NNQuery]:
     if body[0] == _FLAG_PICKLED:
         return pickle.loads(bytes(body[1:]))
     return _wire.decode_query_batch_columnar(memoryview(body)[1:])
-
-
-# Neighbour results, *stateless legacy* codec: one fixed-width record per
-# result.  The hot path uses the stateful per-shard stream codec in
-# :mod:`repro.codec.wire` instead (worker-side encoder, client-side
-# decoder); this codec remains for stateless callers and as the property
-# tests' reference twin.  Flags bit 0 = is_leader, bit 1 = has leader_id.
-_NEIGHBOR_RECORD = struct.Struct("!Q3dBQ")  # id, x, y, distance, flags, leader
-
-
-def encode_neighbor_batches(
-    batches: Sequence[Sequence[NeighborResult]],
-) -> bytes:
-    """All result lists for one probe set, in query order."""
-    parts = [bytes([_FLAG_COMPACT]), _COUNT.pack(len(batches))]
-    pack = _NEIGHBOR_RECORD.pack
-    for batch in batches:
-        parts.append(_COUNT.pack(len(batch)))
-        for result in batch:
-            numeric = _numeric_object_id(result.object_id)
-            leader = (
-                _numeric_object_id(result.leader_id)
-                if result.leader_id is not None
-                else 0
-            )
-            if (
-                numeric is None
-                or (result.leader_id is not None and leader is None)
-                or type(result) is not NeighborResult
-            ):
-                return bytes([_FLAG_PICKLED]) + pickle.dumps(
-                    [list(entry) for entry in batches], _PICKLE_PROTOCOL
-                )
-            flags = (1 if result.is_leader else 0) | (
-                2 if result.leader_id is not None else 0
-            )
-            parts.append(
-                pack(
-                    numeric,
-                    result.location.x,
-                    result.location.y,
-                    result.distance,
-                    flags,
-                    leader or 0,
-                )
-            )
-    return b"".join(parts)
-
-
-def decode_neighbor_batches(body: bytes) -> List[List[NeighborResult]]:
-    flag = body[0]
-    if flag == _FLAG_PICKLED:
-        return pickle.loads(body[1:])
-    (num_batches,) = _COUNT.unpack_from(body, 1)
-    offset = 1 + _COUNT.size
-    batches: List[List[NeighborResult]] = []
-    for _ in range(num_batches):
-        (count,) = _COUNT.unpack_from(body, offset)
-        offset += _COUNT.size
-        batch = []
-        for _ in range(count):
-            numeric, x, y, distance, flags, leader = _NEIGHBOR_RECORD.unpack_from(
-                body, offset
-            )
-            offset += _NEIGHBOR_RECORD.size
-            batch.append(
-                NeighborResult(
-                    object_id=format_object_id(numeric),
-                    location=Point(x, y),
-                    distance=distance,
-                    is_leader=bool(flags & 1),
-                    leader_id=format_object_id(leader) if flags & 2 else None,
-                )
-            )
-        batches.append(batch)
-    return batches
 
 
 def encode_call(method: str, args: tuple, kwargs: dict) -> bytes:

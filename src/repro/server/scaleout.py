@@ -19,13 +19,13 @@ Nothing the parent merges depends on worker count.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bigtable.process_backend import (
-    _MAKESPAN,
     FederatedShardedBackend,
     ProcessShardedBackend,
     _decode_update_result,
+    _query_decoder,
     make_scaleout_backend,
 )
 from repro.errors import (
@@ -40,6 +40,39 @@ from repro.server.supervisor import Supervisor
 from repro.server.worker import shard_of
 
 
+class _Entry(NamedTuple):
+    """One per-shard request in flight through the engine."""
+
+    shard_id: int
+    opcode: int
+    #: Update batch, probe set or ``(method, args, kwargs)`` call.
+    payload: Any
+    #: Owning worker, or ``None`` in-process.
+    worker: Optional[int]
+    #: Pinned request id, or the already-resolved result in-process.
+    token: Any
+    #: Encoded request body (kept for the heal-and-resend path).
+    body: Optional[bytes]
+    round_index: Optional[int]
+
+
+_ENCODERS = {
+    rpc.OP_UPDATE_BATCH: rpc.encode_update_batch,
+    rpc.OP_QUERY_BATCH: rpc.encode_query_batch,
+    rpc.OP_CALL: lambda call: rpc.encode_call(*call),
+}
+
+
+def _run_local(client, opcode: int, payload: Any) -> Any:
+    """Run one request on an in-process shard client."""
+    if opcode == rpc.OP_CALL:
+        method, args, kwargs = payload
+        return client.call(method, *args, **kwargs)
+    if opcode == rpc.OP_UPDATE_BATCH:
+        return client.service.update_batch(payload)
+    return client.service.query_batch(payload)
+
+
 class ScaleOutCluster:
     """Scatter/gather request router over a federation of shard groups.
 
@@ -47,21 +80,28 @@ class ScaleOutCluster:
     load tests drive (``submit_update_batch`` / ``submit_query_batch`` /
     ``makespan_seconds`` / ``reset_metrics``), plus the control-plane
     hooks (:meth:`apply_fault`, :meth:`rebalance`) the fault injector
-    needs.  All scatters are pipelined: every shard's request is on the
-    wire before the first response is read, so one round costs one
-    round-trip regardless of shard count.
+    needs.
 
-    On top of the per-round pipelining sits the *windowed* engine: the
-    parent may keep up to ``window`` whole update rounds in flight before
-    blocking (:meth:`enqueue_update_batch` / :meth:`drain_update_window`),
+    Every verb — update rounds, query broadcasts, control verbs and
+    metric reads — goes through one scatter-gather engine with two steps.
+    The send step (:meth:`_send`) allocates pinned request ids and puts
+    each worker's frames on the wire in one ``sendall``, so one round
+    costs one round-trip regardless of shard count.  The collect step
+    (:meth:`_collect`) reads responses in send order and, under a
+    supervisor, heals a failed worker and resends its uncollected
+    requests with their original ids; the worker-side dedup window makes
+    the resend exactly-once for every state-changing verb.
+
+    Update rounds use the two steps apart: the parent may keep up to
+    ``window`` whole rounds in flight before blocking
+    (:meth:`enqueue_update_batch` / :meth:`drain_update_window`),
     overlapping parent-side columnar encode of round *k+1* and decode of
     round *k−1* with worker-side apply of round *k*.  Per-connection FIFO
     order is untouched — a worker applies its frames in send order — so
     every shard sees exactly the batch stream it would have seen at
     ``window=1`` and the simulated results stay byte-identical for every
-    window size.  Query broadcasts, control-plane verbs, chaos events and
-    metric reads all drain the window first (an explicit barrier), so
-    nothing can observe a shard mid-window.
+    window size.  Every other verb drains the window first (an explicit
+    barrier), so nothing can observe a shard mid-window.
     """
 
     def __init__(
@@ -107,20 +147,17 @@ class ScaleOutCluster:
         #: but their simulated clocks are independent).
         self._makespans = [0.0] * self.num_shards
         self.retry_policy = retry_policy or rpc.RetryPolicy()
-        #: Windowed in-flight state.  ``_inflight`` holds one entry per
-        #: outstanding per-shard request in *send order*:
-        #: ``(shard_id, worker, request_id, body, round_index)`` on the
-        #: process backend, or ``(shard_id, None, handle, None,
-        #: round_index)`` in-process (the handle is already resolved — the
-        #: in-process federation has no wire to overlap, but it walks the
-        #: identical enqueue/drain schedule so the pipeline counters and
-        #: reports match the process backend exactly).
+        #: Windowed in-flight state: one engine entry per outstanding
+        #: per-shard update request, in send order.  In-process entries
+        #: are already resolved — there is no wire to overlap — but they
+        #: walk the identical enqueue/drain schedule, so the pipeline
+        #: counters and reports match the process backend exactly.
         self.window = 1
-        self._inflight: List[Tuple[int, Optional[int], Any, Optional[bytes], Optional[int]]] = []
+        self._inflight: List[_Entry] = []
         self._inflight_rounds = 0
         self._pipeline_processed = 0
-        #: Workers whose enqueue-time send failed; the next drain heals
-        #: them (supervised) or raises (unsupervised).
+        #: Workers whose send failed; the next collect step heals them
+        #: (supervised) or raises (unsupervised).
         self._send_failed: Dict[int, str] = {}
         #: ``(round_index, shard makespan)`` per committed in-flight entry;
         #: :meth:`makespan_at_round` resolves the cluster makespan *as of*
@@ -128,9 +165,8 @@ class ScaleOutCluster:
         #: defer its timeline arithmetic instead of barriering per bucket.
         self._makespan_history: List[Tuple[int, float]] = []
         self._phase = self._zero_phase()
-        #: Supervised clusters route the data plane through the
-        #: retry-after-heal scatter (:meth:`_supervised_round`); without a
-        #: policy the dispatch path is exactly the pre-supervision one.
+        #: With a supervisor the collect step heals failed workers and
+        #: resends; without one the first failure raises.
         self.supervisor: Optional[Supervisor] = None
         if supervision_policy is not None:
             if not isinstance(backend, ProcessShardedBackend):
@@ -164,7 +200,7 @@ class ScaleOutCluster:
         ``backend`` selects the execution vehicle (``"inprocess"``,
         ``"process"`` or ``"disk"``); every other knob feeds the per-shard
         :class:`repro.server.worker.ShardRecipe`.  A ``supervision_policy``
-        enables the self-healing dispatch path; ``"respawn"`` (lossless)
+        lets the engine heal failed workers; ``"respawn"`` (lossless)
         additionally turns on durable accounting checkpoints so a respawned
         shard restores its simulated tallies and dedup window.  ``window``
         bounds the in-flight update rounds per worker; the worker-side
@@ -262,11 +298,12 @@ class ScaleOutCluster:
     ) -> None:
         """Put one update round in flight without waiting for it.
 
-        Parent-side encode happens here — while workers are still applying
-        previously enqueued rounds — and each worker's frames for this
-        round coalesce into a single ``sendall``.  When the window is
-        full the call drains it first, so at most ``self.window`` rounds
-        are ever outstanding.  ``round_index`` tags the round for
+        This is the engine's send step on its own: parent-side encode
+        happens here — while workers are still applying previously
+        enqueued rounds — and each worker's frames for this round coalesce
+        into a single ``sendall``.  When the window is full the call
+        drains it first, so at most ``self.window`` rounds are ever
+        outstanding.  ``round_index`` tags the round for
         :meth:`makespan_at_round` (the load test's deferred timeline).
         """
         if not messages:
@@ -276,156 +313,41 @@ class ScaleOutCluster:
         buckets: List[List[UpdateMessage]] = [[] for _ in range(self.num_shards)]
         for message in messages:
             buckets[shard_of(message.object_id, self.num_shards)].append(message)
-        backend = self.backend
-        if not isinstance(backend, ProcessShardedBackend):
-            # In-process federation: the "send" applies synchronously, but
-            # the handles join the in-flight record so the drain schedule
-            # (and every pipeline counter derived from it) matches the
-            # process backend step for step.
-            for shard_id, handle in backend.begin_update_scatter(
-                (shard_id, batch)
-                for shard_id, batch in enumerate(buckets)
-                if batch
-            ):
-                self._inflight.append((shard_id, None, handle, None, round_index))
-            self._inflight_rounds += 1
-            self._phase["rounds_enqueued"] += 1
-            return
-        clock = time.perf_counter
-        started = clock()
-        sends = [
-            (shard_id, rpc.encode_update_batch(batch))
-            for shard_id, batch in enumerate(buckets)
-            if batch
-        ]
-        self._phase["encode_seconds"] += clock() - started
-        started = clock()
-        by_worker: Dict[int, List[Tuple[int, bytes]]] = {}
-        for shard_id, body in sends:
-            by_worker.setdefault(backend.worker_of(shard_id), []).append(
-                (shard_id, body)
+        self._inflight.extend(
+            self._send(
+                [
+                    (shard_id, rpc.OP_UPDATE_BATCH, batch)
+                    for shard_id, batch in enumerate(buckets)
+                    if batch
+                ],
+                round_index,
             )
-        for worker, entries in by_worker.items():
-            connection = backend.pool.connections[worker]
-            ids = connection.allocate_request_ids(len(entries))
-            for (shard_id, body), request_id in zip(entries, ids):
-                self._inflight.append(
-                    (shard_id, worker, request_id, body, round_index)
-                )
-            if worker in self._send_failed:
-                continue  # known-dead: the drain heals and resends
-            try:
-                for (shard_id, body), request_id in zip(entries, ids):
-                    connection.queue_request(
-                        shard_id, rpc.OP_UPDATE_BATCH, body, request_id=request_id
-                    )
-                connection.flush_queued()
-            except WorkerDiedError as exc:
-                self._send_failed[worker] = str(exc)
-        self._phase["send_seconds"] += clock() - started
+        )
         self._inflight_rounds += 1
         self._phase["rounds_enqueued"] += 1
 
     def drain_update_window(self) -> int:
         """Collect every in-flight update round (the explicit barrier).
 
+        This is the engine's collect step over the in-flight list.
         Responses are committed in send order, so makespans, ack
         accounting and the per-round makespan history are independent of
-        arrival order.  Supervised failures heal the worker and resend its
-        *entire* uncollected window with the original pinned request ids —
-        the worker-side dedup window (sized >= the engine window) replays
-        what was already applied and applies the rest exactly once.
-        Returns the messages processed by this drain.
+        arrival order.  Returns the messages processed by this drain.
         """
-        entries = self._inflight
-        if not entries:
-            self._inflight_rounds = 0
-            if self._send_failed and self.supervisor is None:
-                failures, self._send_failed = self._send_failed, {}
-                raise WorkerDiedError(
-                    "; ".join(
-                        f"worker {worker}: {reason}"
-                        for worker, reason in sorted(failures.items())
-                    )
-                )
-            return 0
-        self._inflight = []
+        entries, self._inflight = self._inflight, []
         self._inflight_rounds = 0
+        if not entries:
+            return 0
         self._phase["drains"] += 1
         self._phase["blocking_waits"] += 1
-        policy = self.retry_policy
-        clock = time.perf_counter
-        results: Dict[int, Tuple[int, float]] = {}
-        failed: Dict[int, str] = self._send_failed
-        self._send_failed = {}
-        attempts = 1
-        while True:
-            for index, (shard_id, worker, token, _body, _round) in enumerate(
-                entries
-            ):
-                if index in results:
-                    continue
-                if worker is None:
-                    results[index] = token.result()
-                    continue
-                if worker in failed:
-                    continue
-                connection = self.backend.pool.connections[worker]
-                try:
-                    started = clock()
-                    _opcode, body = connection.wait(
-                        token, deadline_s=policy.call_deadline_s
-                    )
-                    self._phase["blocked_wait_seconds"] += clock() - started
-                    started = clock()
-                    results[index] = _decode_update_result(body)
-                    self._phase["decode_seconds"] += clock() - started
-                except (WorkerDiedError, FrameCorruptionError) as exc:
-                    failed[worker] = f"shard {shard_id}: {exc}"
-            if not failed:
-                break
-            if self.supervisor is None or attempts >= policy.max_attempts:
-                reasons = "; ".join(
-                    f"worker {worker}: {reason}"
-                    for worker, reason in sorted(failed.items())
-                )
-                raise WorkerDiedError(
-                    f"window drain failed after {attempts} attempts ({reasons})"
-                )
-            time.sleep(policy.backoff_s(attempts))
-            attempts += 1
-            for worker in sorted(failed):
-                self.supervisor.handle_worker_failure(worker, failed[worker])
-                connection = self.backend.pool.connections[worker]
-                for index, (shard_id, owner, token, body, _round) in enumerate(
-                    entries
-                ):
-                    if owner == worker and index not in results:
-                        connection.queue_request(
-                            shard_id,
-                            rpc.OP_UPDATE_BATCH,
-                            body,
-                            request_id=token,
-                        )
-                connection.flush_queued()
-            failed.clear()
         processed = 0
-        touched_workers = set()
-        for index, (shard_id, worker, _token, _body, round_index) in enumerate(
-            entries
-        ):
-            count, makespan = results[index]
+        for entry, (count, makespan) in zip(entries, self._collect(entries)):
             processed += count
-            self._makespans[shard_id] = makespan
-            if round_index is not None:
-                self._makespan_history.append((round_index, makespan))
+            self._makespans[entry.shard_id] = makespan
+            if entry.round_index is not None:
+                self._makespan_history.append((entry.round_index, makespan))
             if self.supervisor is not None:
-                self.supervisor.note_acked_updates(shard_id, count)
-            if worker is not None:
-                touched_workers.add(worker)
-        if self.supervisor is not None:
-            for worker in touched_workers:
-                self.supervisor.notify_success(worker)
+                self.supervisor.note_acked_updates(entry.shard_id, count)
         self._pipeline_processed += processed
         return processed
 
@@ -461,11 +383,11 @@ class ScaleOutCluster:
     def metrics_snapshot(self) -> Dict[str, object]:
         """Engine-side pipeline counters and phase timing breakdown.
 
-        Phase seconds are wall-clock (parent-side) and deliberately live
-        *outside* ``to_report()``; the counter fields (``blocking_waits``,
-        ``rounds_enqueued``, ...) are machine-independent — functions of
-        the batch schedule only — which is what the CI overlap guard
-        pins."""
+        Phase seconds are wall-clock (parent-side, every verb the engine
+        carries) and deliberately live *outside* ``to_report()``; the
+        counter fields (``blocking_waits``, ``rounds_enqueued``, ...) are
+        machine-independent — functions of the batch schedule only —
+        which is what the CI overlap guard pins."""
         snapshot: Dict[str, object] = dict(self._phase)
         snapshot["window"] = self.window
         snapshot["inflight_rounds"] = self._inflight_rounds
@@ -484,144 +406,187 @@ class ScaleOutCluster:
         queries = list(queries)
         if not queries:
             return []
-        self._barrier()
-        if self.supervisor is not None:
-            per_shard = self._supervised_query_broadcast(queries)
-        else:
-            pending = list(enumerate(self.backend.begin_query_broadcast(queries)))
-            per_shard = []
-            for shard_id, handle in pending:
-                results, makespan = handle.result()
-                self._makespans[shard_id] = makespan
-                per_shard.append(results)
+        per_shard = self._dispatch(
+            [
+                (shard_id, rpc.OP_QUERY_BATCH, queries)
+                for shard_id in range(self.num_shards)
+            ]
+        )
+        for shard_id, (_results, makespan) in enumerate(per_shard):
+            self._makespans[shard_id] = makespan
         merged: List[List[NeighborResult]] = []
         for query_index, query in enumerate(queries):
             combined: List[NeighborResult] = []
-            for shard_results in per_shard:
+            for shard_results, _makespan in per_shard:
                 combined.extend(shard_results[query_index])
             combined.sort(key=lambda result: (result.distance, result.object_id))
             merged.append(combined[: query.k])
         return merged
 
     # ------------------------------------------------------------------
-    # Supervised dispatch (exactly-once scatter-gather)
+    # Scatter-gather engine: one send step, one collect step
     # ------------------------------------------------------------------
-    def _supervised_round(self, sends, decode) -> Dict[int, Any]:
-        """Scatter ``sends`` with retry-after-heal semantics.
+    def _send(
+        self,
+        requests: Sequence[Tuple[int, int, Any]],
+        round_index: Optional[int] = None,
+    ) -> List[_Entry]:
+        """Send step: put ``(shard_id, opcode, payload)`` requests in flight.
 
-        ``sends`` is an ordered sequence of ``(shard_id, opcode, body)``
-        triples — at most one per shard, dispatched against a drained
-        window — and ``decode(shard_id, body)`` turns a
-        response body into the caller's result.  The send phase mirrors the
-        unsupervised backend exactly: requests grouped per worker connection
-        in first-appearance order and flushed with one batched
-        ``send_requests`` each, so a chaos-free supervised run puts
-        byte-identical frames on the wire.
+        Returns one entry per request, in request order.  Each worker gets
+        one pass: pinned request ids are allocated first, then its frames
+        are queued and flushed with a single ``sendall``.  A payload shared
+        by several shards (a broadcast) is encoded once.  A failed send
+        marks the worker for the collect step; a worker already marked
+        gets its ids but no frames, and the collect step resends them.
 
-        Failures — dead worker, expired per-call deadline, corrupt response
-        frame — mark the owning worker.  After each collect sweep every
-        marked worker is healed through the supervisor and its uncollected
-        requests are re-sent on the replacement connection *with their
-        original request ids*, which the dedup window uses to suppress
-        double application (replaying the recorded result when the dead
-        worker had already applied the batch).  Attempts are bounded by
-        ``retry_policy.max_attempts`` with exponential backoff between.
+        The in-process federation has no wire: each request runs on the
+        spot and its entry comes back resolved.
+        """
+        backend = self.backend
+        if not isinstance(backend, ProcessShardedBackend):
+            return [
+                _Entry(shard_id, opcode, payload, None, _run_local(
+                    self.clients[shard_id], opcode, payload
+                ), None, round_index)
+                for shard_id, opcode, payload in requests
+            ]
+        clock = time.perf_counter
+        started = clock()
+        bodies: Dict[int, bytes] = {}
+        by_worker: Dict[int, List[int]] = {}
+        for index, (shard_id, opcode, payload) in enumerate(requests):
+            if id(payload) not in bodies:
+                bodies[id(payload)] = _ENCODERS[opcode](payload)
+            by_worker.setdefault(backend.worker_of(shard_id), []).append(index)
+        self._phase["encode_seconds"] += clock() - started
+        started = clock()
+        entries: List[Any] = [None] * len(requests)
+        for worker, indices in by_worker.items():
+            ids = backend.pool.connections[worker].allocate_request_ids(
+                len(indices)
+            )
+            for index, request_id in zip(indices, ids):
+                shard_id, opcode, payload = requests[index]
+                entries[index] = _Entry(
+                    shard_id, opcode, payload, worker, request_id,
+                    bodies[id(payload)], round_index,
+                )
+            if worker not in self._send_failed:
+                error = self._transmit(worker, [entries[i] for i in indices])
+                if error is not None:
+                    self._send_failed[worker] = error
+        self._phase["send_seconds"] += clock() - started
+        return entries
+
+    def _transmit(self, worker: int, entries: Sequence[_Entry]) -> Optional[str]:
+        """Queue ``entries`` on one worker's connection with their pinned
+        ids and flush them in one ``sendall``; returns the failure reason
+        instead of raising."""
+        connection = self.backend.pool.connections[worker]
+        for entry in entries:
+            connection.queue_request(
+                entry.shard_id, entry.opcode, entry.body, request_id=entry.token
+            )
+        try:
+            connection.flush_queued()
+        except WorkerDiedError as exc:
+            # The raise site already wrapped the OS error ("send failed:
+            # ..."): record it verbatim, don't wrap again.
+            return str(exc)
+        return None
+
+    def _collect(self, entries: Sequence[_Entry]) -> List[Any]:
+        """Collect step: every entry's result, in entry order.
+
+        Responses are read in send order.  A dead worker, an expired
+        per-call deadline or a corrupt response frame marks the owning
+        worker.  After each sweep the supervisor heals every marked worker
+        and its uncollected entries are resent with their original request
+        ids, so the worker-side dedup window replays whatever the dead
+        worker had already applied and applies the rest exactly once.
+        Attempts stop at ``retry_policy.max_attempts``, with exponential
+        backoff between them; without a supervisor the first failure
+        raises :class:`WorkerDiedError`.
         """
         policy = self.retry_policy
-        backend = self.backend
-        grouped: Dict[int, List[Tuple[int, int, bytes]]] = {}
-        for entry in sends:
-            grouped.setdefault(backend.worker_of(entry[0]), []).append(entry)
-        request_ids: Dict[int, int] = {}
-        worker_of_shard: Dict[int, int] = {}
-        failed: Dict[int, str] = {}
-        for worker, entries in grouped.items():
-            connection = backend.pool.connections[worker]
-            ids = connection.allocate_request_ids(len(entries))
-            for (shard_id, _opcode, _body), request_id in zip(entries, ids):
-                request_ids[shard_id] = request_id
-                worker_of_shard[shard_id] = worker
-            try:
-                connection.send_requests(entries, request_ids=ids)
-            except WorkerDiedError as exc:
-                # The raise site already wrapped the OS error ("send
-                # failed: ..."): record it verbatim, don't wrap again.
-                failed[worker] = str(exc)
-        order = [shard_id for shard_id, _opcode, _body in sends]
+        max_attempts = policy.max_attempts if self.supervisor is not None else 1
+        clock = time.perf_counter
         results: Dict[int, Any] = {}
+        failed, self._send_failed = self._send_failed, {}
         attempts = 1
         while True:
-            for shard_id in order:
-                if shard_id in results:
+            for index, entry in enumerate(entries):
+                if index in results or entry.worker in failed:
                     continue
-                worker = worker_of_shard[shard_id]
-                if worker in failed:
+                if entry.worker is None:
+                    results[index] = entry.token
                     continue
-                connection = backend.pool.connections[worker]
+                connection = self.backend.pool.connections[entry.worker]
                 try:
+                    started = clock()
                     _opcode, body = connection.wait(
-                        request_ids[shard_id],
-                        deadline_s=policy.call_deadline_s,
+                        entry.token, deadline_s=policy.call_deadline_s
                     )
-                    results[shard_id] = decode(shard_id, body)
+                    self._phase["blocked_wait_seconds"] += clock() - started
+                    started = clock()
+                    results[index] = self._decode(entry, body)
+                    self._phase["decode_seconds"] += clock() - started
                 except (WorkerDiedError, FrameCorruptionError) as exc:
-                    failed[worker] = f"shard {shard_id}: {exc}"
+                    failed[entry.worker] = f"shard {entry.shard_id}: {exc}"
             if not failed:
                 break
-            if attempts >= policy.max_attempts:
+            if attempts >= max_attempts:
                 reasons = "; ".join(
                     f"worker {worker}: {reason}"
                     for worker, reason in sorted(failed.items())
                 )
                 raise WorkerDiedError(
-                    f"scatter round failed after {attempts} attempts ({reasons})"
+                    f"dispatch failed after {attempts} attempt(s) ({reasons})"
                 )
             time.sleep(policy.backoff_s(attempts))
             attempts += 1
-            for worker in sorted(failed):
-                self.supervisor.handle_worker_failure(worker, failed[worker])
-                connection = backend.pool.connections[worker]
-                resend = [
-                    (entry, request_ids[entry[0]])
-                    for entry in grouped[worker]
-                    if entry[0] not in results
-                ]
-                connection.send_requests(
-                    [entry for entry, _ in resend],
-                    request_ids=[request_id for _, request_id in resend],
+            healing, failed = failed, {}
+            for worker in sorted(healing):
+                self.supervisor.handle_worker_failure(worker, healing[worker])
+                error = self._transmit(
+                    worker,
+                    [
+                        entry
+                        for index, entry in enumerate(entries)
+                        if entry.worker == worker and index not in results
+                    ],
                 )
-            failed.clear()
-        for worker in grouped:
-            self.supervisor.notify_success(worker)
-        return results
+                if error is not None:
+                    failed[worker] = error
+        if self.supervisor is not None:
+            for worker in {entry.worker for entry in entries}:
+                self.supervisor.notify_success(worker)
+        return [results[index] for index in range(len(entries))]
 
-    def _supervised_query_broadcast(
-        self, queries: Sequence[object]
-    ) -> List[List[List[NeighborResult]]]:
-        body = rpc.encode_query_batch(queries)
-        sends = [
-            (shard_id, rpc.OP_QUERY_BATCH, body)
-            for shard_id in range(self.num_shards)
-        ]
-
-        def decode(shard_id: int, response: bytes):
-            (makespan,) = _MAKESPAN.unpack_from(response)
+    def _decode(self, entry: _Entry, body: bytes) -> Any:
+        if entry.opcode == rpc.OP_UPDATE_BATCH:
+            return _decode_update_result(body)
+        if entry.opcode == rpc.OP_QUERY_BATCH:
             # Look the stream decoder up at decode time: a heal rebinds the
-            # shard client with a fresh decoder mid-round, and a closure
-            # built at send time would keep decoding with the dead one.
-            decoder = self.clients[shard_id].neighbor_decoder
-            return (
-                decoder.decode(memoryview(response)[_MAKESPAN.size:], queries),
-                makespan,
-            )
+            # shard client with a fresh decoder mid-round, and one fetched
+            # at send time would keep decoding with the dead one.
+            decoder = self.clients[entry.shard_id].neighbor_decoder
+            return _query_decoder(decoder, entry.payload)(body)
+        return rpc.decode_result(body)
 
-        collected = self._supervised_round(sends, decode)
-        per_shard: List[List[List[NeighborResult]]] = []
-        for shard_id in range(self.num_shards):
-            results, makespan = collected[shard_id]
-            self._makespans[shard_id] = makespan
-            per_shard.append(results)
-        return per_shard
+    def _dispatch(self, requests: Sequence[Tuple[int, int, Any]]) -> List[Any]:
+        """Barrier, then one send step and one collect step; results in
+        request order."""
+        self._barrier()
+        return self._collect(self._send(requests))
+
+    def _broadcast(self, method: str, *args, **kwargs) -> List[Any]:
+        """One ``CALL`` verb on every shard; results in shard order."""
+        call = (method, args, kwargs)
+        return self._dispatch(
+            [(shard_id, rpc.OP_CALL, call) for shard_id in range(self.num_shards)]
+        )
 
     # ------------------------------------------------------------------
     # Chaos and recovery
@@ -637,9 +602,9 @@ class ScaleOutCluster:
     def apply_chaos_event(self, event: chaos_mod.ChaosEvent) -> str:
         """Apply one process-level chaos event; returns a description.
 
-        Kills and stops are left for the next dispatch round's detection
-        path (send failure, EOF, ping deadline) — that is the machinery
-        under test.  Frame corruption is burned on a ping and healed on the
+        Kills and stops are left for the engine's next dispatch, whatever
+        the verb (send failure, EOF, response deadline) — that is the
+        machinery under test.  Frame corruption is burned on a ping and healed on the
         spot: the worker either exits on the crc mismatch (bitflip → EOF)
         or blocks mid-frame (truncate → deadline), and either way the
         stream is unusable until the worker is replaced.
@@ -677,10 +642,11 @@ class ScaleOutCluster:
     def heal_dead_workers(self) -> int:
         """Sweep-and-heal: probe every worker and respawn the failed ones.
 
-        Failures injected near the end of a run may have no dispatch round
-        left to detect them; result assembly calls this so its unsupervised
-        control-plane scatters (``metrics`` etc.) meet a healthy pool.
-        Returns the number of workers healed.
+        The engine already heals any worker it finds dead while
+        dispatching; this sweep is for callers that want a healthy pool
+        before sending anything (tests that kill a worker and then read
+        shard state through the bare clients).  Returns the number of
+        workers healed.
         """
         if self.supervisor is None:
             return 0
@@ -712,8 +678,7 @@ class ScaleOutCluster:
     def reset_metrics(self) -> None:
         """Zero every shard's server accounting, the local makespans and
         the pipeline counters (draining any leftover window first)."""
-        self._barrier()
-        self.backend.scatter("reset_metrics")
+        self._broadcast("reset_metrics")
         self._makespans = [0.0] * self.num_shards
         self._makespan_history = []
         self._pipeline_processed = 0
@@ -721,14 +686,13 @@ class ScaleOutCluster:
 
     def metrics(self) -> List[Dict[str, object]]:
         """Per-shard metrics dicts, in shard order."""
-        self._barrier()
-        return self.backend.scatter("metrics")
+        return self._broadcast("metrics")
 
     def service_time_percentile(self, quantile: float) -> float:
         """Simulated per-request service-time percentile over every shard.
 
-        One read-only scatter collects each shard's samples (flattened in
-        server order worker-side); the parent concatenates them in fixed
+        One read-only broadcast collects each shard's samples (flattened
+        in server order worker-side); the parent concatenates them in fixed
         shard order and applies exactly
         :meth:`repro.server.cluster.ServerCluster.service_time_percentile`'s
         arithmetic, so the result is identical for every worker count,
@@ -738,12 +702,11 @@ class ScaleOutCluster:
         if not 0.0 < quantile <= 1.0:
             raise ConfigurationError("quantile must be in (0, 1]")
         if not self.recipes[0].record_service_times:
-            # No shard has samples; skip the scatter so non-recording runs
-            # keep their exact pre-p99 wire-frame counts.
+            # No shard has samples; skip the broadcast so non-recording
+            # runs keep their exact pre-p99 wire-frame counts.
             return 0.0
-        self._barrier()
         samples: List[float] = []
-        for shard_samples in self.backend.scatter("service_time_samples"):
+        for shard_samples in self._broadcast("service_time_samples"):
             samples.extend(shard_samples)
         if not samples:
             return 0.0
@@ -774,14 +737,7 @@ class ScaleOutCluster:
     def rebalance(self) -> None:
         """Give every shard's master one rebalance tick."""
         self._require_master()
-        # The scatter below is the unsupervised path; sweep-and-heal first
-        # so a worker killed at an earlier boundary — possibly without any
-        # intervening dispatch to detect it — meets a healthy pool with
-        # its master state restored from the checkpoint.
-        if self.supervisor is not None:
-            self.heal_dead_workers()
-        self._barrier()
-        self.backend.scatter("rebalance")
+        self._broadcast("rebalance")
 
     def apply_fault(
         self,
@@ -794,25 +750,16 @@ class ScaleOutCluster:
         semantics applied shard-side.  Returns one description per shard
         (shard order), each tagged with the shard it fired on."""
         self._require_master()
-        # Same heal-before-scatter as :meth:`rebalance`: the begin_call
-        # fan-out below has no retry path of its own.
-        if self.supervisor is not None:
-            self.heal_dead_workers()
-        self._barrier()
-        pending = [
-            (
-                shard_id,
-                client.begin_call(
-                    "apply_fault",
-                    kind,
-                    server_id=server_id,
-                    crash_point=crash_point,
-                    describe_prefix=f"{describe_prefix}shard {shard_id} ",
-                ),
-            )
-            for shard_id, client in enumerate(self.clients)
-        ]
-        return [handle.result() for _, handle in pending]
+        return self._dispatch(
+            [
+                (shard_id, rpc.OP_CALL, ("apply_fault", (kind,), {
+                    "server_id": server_id,
+                    "crash_point": crash_point,
+                    "describe_prefix": f"{describe_prefix}shard {shard_id} ",
+                }))
+                for shard_id in range(self.num_shards)
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle

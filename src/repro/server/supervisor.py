@@ -22,12 +22,13 @@ Three policies:
     master's decision history — migration/replication/failover records —
     alongside the routing overrides and replica placement, so a respawned
     shard's master continues byte-identically): the replacement restores
-    to the last *acked* batch boundary and the
-    retry layer re-sends anything in flight — under the pipelined engine
-    that is the dead worker's **whole in-flight window**, in its original
-    send order with its original pinned request ids — so no acked write
-    is lost and no update is double-applied (the worker-side dedup window
-    is sized to at least the in-flight window for exactly this replay).
+    to its last checkpoint and the scale-out engine resends everything the
+    dead worker had not answered — for update rounds its **whole in-flight
+    window**, for control verbs and metric reads the broadcast — in the
+    original send order with the original pinned request ids.  Every
+    state-changing request goes through the worker-side dedup window
+    (sized to at least the in-flight window), so no acked write is lost
+    and no update, query or control verb is applied twice.
 
 ``respawn_lossy``
     For in-memory backends, which have nothing to restore from: the
@@ -82,13 +83,14 @@ class _WorkerHealth:
 class Supervisor:
     """Failure detection and healing for one :class:`ProcessShardedBackend`.
 
-    Detection is *on-demand*: the supervised dispatch path calls
-    :meth:`handle_worker_failure` when a send or collect raises
-    :class:`WorkerDiedError`, and :meth:`scan` offers a cheap waitpid sweep
-    for callers that want to find corpses before committing a round of
-    work.  There is no watcher thread — batch boundaries are frequent
-    enough, and keeping supervision synchronous keeps recovery
-    deterministic (a property the chaos suite asserts byte-for-byte).
+    Detection is *on-demand*: the scale-out engine's collect step calls
+    :meth:`handle_worker_failure` for every worker whose send or collect
+    failed — whatever the verb — and then resends that worker's
+    uncollected requests with their original ids; :meth:`scan` offers a
+    cheap waitpid sweep for callers that want to find corpses first.
+    There is no watcher thread — dispatches are frequent enough, and
+    keeping supervision synchronous keeps recovery deterministic (a
+    property the chaos suite asserts byte-for-byte).
     """
 
     def __init__(

@@ -53,9 +53,10 @@ _MAKESPAN = struct.Struct("!d")
 #: Accounting-checkpoint filename inside a shard's storage directory.
 STATE_BLOB_NAME = "SHARD_STATE.bin"
 
-#: ``CALL`` verbs that cannot change shard state; every other verb (and
-#: every data-plane batch) re-checkpoints the accounting soft state when
-#: the recipe asks for durable accounting.
+#: ``CALL`` verbs that cannot change shard state.  Every other verb (and
+#: every data-plane batch) runs through the exactly-once dedup path, which
+#: re-checkpoints the accounting soft state when the recipe asks for
+#: durable accounting.
 _READ_ONLY_VERBS = frozenset(
     {
         "ping",
@@ -241,13 +242,13 @@ class ShardService:
         #: bytes invariant across worker counts.
         self.neighbor_encoder = NeighborStreamEncoder()
         #: Exactly-once dedup window: ``request_id -> (opcode, recorded
-        #: result)`` for the most recent applied data-plane requests, in
+        #: result)`` for the most recent state-changing requests, in
         #: application order.  The pipelined parent keeps up to ``W``
         #: batches in flight per worker and a heal-then-resend replays the
         #: *whole* window with original pinned ids, so the window holds
         #: ``recipe.dedup_window >= W`` entries — a replayed id anywhere in
         #: the window returns its recorded result without touching state.
-        self._applied_window: "OrderedDict[int, Tuple[int, tuple]]" = (
+        self._applied_window: "OrderedDict[int, Tuple[int, Any]]" = (
             OrderedDict()
         )
 
@@ -460,23 +461,15 @@ class ShardService:
             requests_since, factor = state["contention"]
             cluster.contention._requests_since_refresh = requests_since
             cluster.contention._cached_factor = factor
-        # ``.get``: pre-master checkpoints (or masterless recipes) simply
-        # leave the freshly built master's empty histories in place.
-        master_state = state.get("master")
-        if self.master is not None and master_state is not None:
-            migrations, replications, failovers = master_state
+        if self.master is not None:
+            migrations, replications, failovers = state["master"]
             self.master.migrations = list(migrations)
             self.master.replications = list(replications)
             self.master.failovers = list(failovers)
-        dedup = state["dedup"]
-        self._applied_window = OrderedDict()
-        if dedup is not None:
-            if dedup and isinstance(dedup[0], int):
-                # Pre-window checkpoint shape: one (id, opcode, result)
-                # triple for the single last applied request.
-                dedup = (dedup,)
-            for request_id, opcode, result in dedup:
-                self._applied_window[request_id] = (opcode, result)
+        self._applied_window = OrderedDict(
+            (request_id, (opcode, result))
+            for request_id, opcode, result in state["dedup"]
+        )
 
     def _write_accounting_checkpoint(self) -> None:
         """Persist :meth:`accounting_state` atomically (when the recipe asks
@@ -494,41 +487,45 @@ class ShardService:
             os.path.join(storage_dir, STATE_BLOB_NAME), self.accounting_state()
         )
 
-    def _recall_applied(self, request_id: int, opcode: int) -> Optional[tuple]:
-        """The recorded result when ``request_id`` was already applied.
+    def _apply_once(self, request_id: int, opcode: int, apply) -> Any:
+        """The one exactly-once path: recall, reject-stale, apply, record,
+        checkpoint.
 
-        ``None`` means fresh; a window hit with a *different* opcode is a
-        protocol violation (the parent never reuses ids across opcodes) and
-        raises :class:`StaleRequestError` rather than replaying the wrong
-        result shape."""
-        entry = self._applied_window.get(request_id)
-        if entry is None:
-            return None
-        if entry[0] != opcode:
-            raise StaleRequestError(
-                f"request id {request_id} was applied with opcode "
-                f"{entry[0]}, retried as {opcode}"
-            )
-        return entry[1]
-
-    def _record_applied(
-        self, request_id: int, opcode: int, result: tuple
-    ) -> None:
-        """Remember one applied request, evicting beyond the window depth."""
+        A request id still inside the window returns its recorded result
+        without touching state (the parent resent its in-flight requests
+        after a respawn); a window hit with a *different* opcode is a
+        protocol violation (the parent never reuses ids across opcodes)
+        and raises :class:`StaleRequestError` rather than replaying the
+        wrong result shape.  An id older than the newest applied request
+        that has fallen out of the window is rejected the same way.  A
+        fresh id applies, records its result, then re-checkpoints the
+        accounting soft state — *before* the response frame goes out, so
+        a kill at any point leaves the shard either unaware of the request
+        (the resend applies it) or able to replay its result (the resend
+        is suppressed).
+        """
         window = self._applied_window
+        entry = window.get(request_id)
+        if entry is not None:
+            if entry[0] != opcode:
+                raise StaleRequestError(
+                    f"request id {request_id} was applied with opcode "
+                    f"{entry[0]}, retried as {opcode}"
+                )
+            return entry[1]
+        if window and request_id < next(reversed(window)):
+            raise StaleRequestError(
+                f"request id {request_id} is older than the newest applied "
+                f"request {next(reversed(window))} and has fallen out of "
+                f"the dedup window"
+            )
+        result = apply()
         window[request_id] = (opcode, result)
         depth = self.recipe.dedup_window if self.recipe is not None else 8
         while len(window) > depth:
             window.popitem(last=False)
-
-    def _reject_stale(self, request_id: int) -> None:
-        window = self._applied_window
-        if window and request_id < next(reversed(window)):
-            raise StaleRequestError(
-                f"request id {request_id} is older than the newest applied "
-                f"data-plane request {next(reversed(window))} and has "
-                f"fallen out of the dedup window"
-            )
+        self._write_accounting_checkpoint()
+        return result
 
     def _require_master(self) -> TabletMaster:
         if self.master is None:
@@ -884,16 +881,13 @@ def dispatch_request(
 ) -> bytes:
     """Decode one request frame, run it, encode the response body.
 
-    Data-plane opcodes flow through the shard's exactly-once dedup window:
-    a request id still inside the window replays its recorded result
-    without touching state (the parent resent a whole in-flight window
-    after a respawn), an id older than the newest applied request that has
-    fallen out of the window is rejected with :class:`StaleRequestError`,
-    and a fresh id applies, records its result, then re-checkpoints the
-    accounting soft state — *before* the response frame goes out, so a
-    kill at any point leaves the shard either unaware of the batch (the
-    resend applies it) or able to replay the ack (the resend is
-    suppressed).
+    Every state-changing request — update and query batches, and each
+    ``CALL`` verb outside :data:`_READ_ONLY_VERBS` — runs through the
+    shard's exactly-once path (:meth:`ShardService._apply_once`), so the
+    parent may resend any of them after a respawn.  ``build_indexer`` is
+    the one exception: it is the restore step itself, sent by the
+    supervisor on a fresh, higher id, and recording it would make the
+    resent lower ids look stale.
     """
     service = services.get(shard_id)
     if service is None:
@@ -902,30 +896,21 @@ def dispatch_request(
     if opcode == rpc.OP_PING:
         return b""
     if opcode == rpc.OP_UPDATE_BATCH:
-        recorded = service._recall_applied(request_id, opcode)
-        if recorded is not None:
-            processed, makespan = recorded
-            return _UPDATE_RESULT.pack(processed, makespan)
-        service._reject_stale(request_id)
-        messages = rpc.decode_update_batch(body)
-        processed, makespan = service.update_batch(messages)
-        service._record_applied(request_id, opcode, (processed, makespan))
-        service._write_accounting_checkpoint()
+        processed, makespan = service._apply_once(
+            request_id,
+            opcode,
+            lambda: service.update_batch(rpc.decode_update_batch(body)),
+        )
         return _UPDATE_RESULT.pack(processed, makespan)
     if opcode == rpc.OP_QUERY_BATCH:
         queries = rpc.decode_query_batch(body)
-        recorded = service._recall_applied(request_id, opcode)
-        if recorded is not None:
-            # Replay re-encodes the recorded *results* with the current
-            # stream encoder: a respawned worker starts a fresh encoder and
-            # the parent resets its decoder twin, so recorded raw bytes
-            # from the previous process would not decode.
-            results, makespan = recorded
-        else:
-            service._reject_stale(request_id)
-            results, makespan = service.query_batch(queries)
-            service._record_applied(request_id, opcode, (results, makespan))
-            service._write_accounting_checkpoint()
+        # A replay re-encodes the recorded *results* with the current
+        # stream encoder: a respawned worker starts a fresh encoder and the
+        # parent resets its decoder twin, so recorded raw bytes from the
+        # previous process would not decode.
+        results, makespan = service._apply_once(
+            request_id, opcode, lambda: service.query_batch(queries)
+        )
         # Stateful per-shard stream encoding: only what changed since this
         # shard's previous response frame actually rides the wire.
         return _MAKESPAN.pack(makespan) + service.neighbor_encoder.encode(
@@ -935,10 +920,18 @@ def dispatch_request(
         method, args, kwargs = rpc.decode_call(body)
         if method.startswith("_") or not hasattr(ShardService, method):
             raise RpcError(f"unknown shard service method {method!r}")
-        result = getattr(service, method)(*args, **kwargs)
-        if method not in _READ_ONLY_VERBS:
+        verb = getattr(service, method)
+        if method in _READ_ONLY_VERBS:
+            return rpc.encode_result(verb(*args, **kwargs))
+        if method == "build_indexer":
+            result = verb(*args, **kwargs)
             service._write_accounting_checkpoint()
-        return rpc.encode_result(result)
+            return rpc.encode_result(result)
+        return rpc.encode_result(
+            service._apply_once(
+                request_id, opcode, lambda: verb(*args, **kwargs)
+            )
+        )
     raise RpcError(f"unknown opcode {opcode}")
 
 

@@ -20,7 +20,7 @@ from repro.errors import (
 )
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
-from repro.model import NeighborResult, UpdateMessage
+from repro.model import UpdateMessage
 from repro.server import rpc
 from repro.workload.queries import NNQuery
 
@@ -131,19 +131,6 @@ def test_query_batch_codec_round_trips():
         NNQuery(location=Point(1.0, 1.0), k=2, range_limit=50.0),
     ]
     assert rpc.decode_query_batch(rpc.encode_query_batch(queries)) == queries
-
-
-def test_neighbor_batches_codec_round_trips_leader_flags():
-    batches = [
-        [
-            NeighborResult("obj%010d" % 1, Point(0.0, 1.0), 2.0, True, None),
-            NeighborResult(
-                "obj%010d" % 2, Point(3.0, 4.0), 5.0, False, "obj%010d" % 1
-            ),
-        ],
-        [],
-    ]
-    assert rpc.decode_neighbor_batches(rpc.encode_neighbor_batches(batches)) == batches
 
 
 def test_call_codec_round_trips_args_and_kwargs():
