@@ -23,6 +23,11 @@ request paths over a shared-nothing federation of shard groups — each a
 complete stack built from a :class:`~repro.server.worker.ShardRecipe`,
 in-process or in forked workers behind the :mod:`repro.server.rpc`
 framing — with worker-count-invariant, bit-identical results.
+
+One :class:`~repro.server.loadtest.LoadTest` drives every backend: a plain
+``ServerCluster`` runs its batched tests as a one-shard in-process
+federation over the same objects, so the batch loops, control step and
+result assembly exist once.
 """
 
 from repro.server.contention import TabletContentionModel
@@ -47,7 +52,6 @@ from repro.server.master import (
     ReplicationRecord,
     TabletMaster,
 )
-from repro.server.loadtest import ScaleOutLoadTest
 from repro.server.worker import ShardRecipe, ShardService, shard_of
 
 
@@ -77,7 +81,6 @@ __all__ = [
     "RebalanceReport",
     "ReplicationRecord",
     "TabletMaster",
-    "ScaleOutLoadTest",
     "ScaleOutCluster",
     "ShardRecipe",
     "ShardService",

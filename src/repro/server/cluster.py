@@ -144,6 +144,18 @@ class ServerFailoverReport:
         return sum(entry.simulated_seconds for entry in self.tablets)
 
 
+def sample_percentile(samples: List[float], quantile: float) -> float:
+    """The ``quantile`` (in (0, 1]) of ``samples`` by nearest rank, 0.0
+    when there are none — the one rule every service-time percentile
+    uses, single cluster and federation alike."""
+    if not 0.0 < quantile <= 1.0:
+        raise ConfigurationError("quantile must be in (0, 1]")
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    return ordered[max(int(len(ordered) * quantile) - 1, 0)]
+
+
 class ServerCluster:
     """Dispatches requests over ``num_servers`` front-ends.
 
@@ -486,16 +498,10 @@ class ServerCluster:
         mean.  ``quantile`` is in (0, 1] — 0.99 is the p99 the rebalance
         experiment reports.
         """
-        if not 0.0 < quantile <= 1.0:
-            raise ConfigurationError("quantile must be in (0, 1]")
         samples: List[float] = []
         for server in self.servers:
             samples.extend(server.service_time_samples)
-        if not samples:
-            return 0.0
-        samples.sort()
-        rank = max(int(len(samples) * quantile) - 1, 0)
-        return samples[rank]
+        return sample_percentile(samples, quantile)
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """Plain-data accounting view (makespan plus one

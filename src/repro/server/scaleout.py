@@ -10,6 +10,11 @@ partitions update batches by owning shard, broadcasts query batches, and
 merges results in fixed shard order, so its outputs are bit-identical for
 every worker count — including the degenerate one-shard in-process case.
 
+The load tests drive every backend through this class: a plain
+:class:`~repro.server.cluster.ServerCluster` joins as a one-shard
+in-process federation over its own objects
+(:meth:`ScaleOutCluster.from_cluster`).
+
 Determinism model: the *shard count* is the unit of determinism (it decides
 object placement and per-shard RNG consumption); the *worker count* is the
 unit of parallelism (it only decides which OS process executes a shard).
@@ -23,6 +28,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bigtable.process_backend import (
     FederatedShardedBackend,
+    LocalShardedBackend,
     ProcessShardedBackend,
     _decode_update_result,
     _query_decoder,
@@ -36,8 +42,10 @@ from repro.errors import (
 from repro.model import NeighborResult, UpdateMessage
 from repro.server import chaos as chaos_mod
 from repro.server import rpc
+from repro.server.cluster import ServerCluster, sample_percentile
+from repro.server.master import TabletMaster
 from repro.server.supervisor import Supervisor
-from repro.server.worker import shard_of
+from repro.server.worker import ShardRecipe, shard_of
 
 
 class _Entry(NamedTuple):
@@ -76,11 +84,10 @@ def _run_local(client, opcode: int, payload: Any) -> Any:
 class ScaleOutCluster:
     """Scatter/gather request router over a federation of shard groups.
 
-    Mirrors the :class:`repro.server.cluster.ServerCluster` surface the
-    load tests drive (``submit_update_batch`` / ``submit_query_batch`` /
-    ``makespan_seconds`` / ``reset_metrics``), plus the control-plane
-    hooks (:meth:`apply_fault`, :meth:`rebalance`) the fault injector
-    needs.
+    The surface :class:`repro.server.loadtest.LoadTest` drives for every
+    backend: the windowed update path, query broadcasts, metric reads and
+    the control-plane hooks (:meth:`apply_fault`, :meth:`rebalance`) the
+    fault injector needs.
 
     Every verb — update rounds, query broadcasts, control verbs and
     metric reads — goes through one scatter-gather engine with two steps.
@@ -224,16 +231,40 @@ class ScaleOutCluster:
             window=window,
         )
 
+    @classmethod
+    def from_cluster(
+        cls, cluster: ServerCluster, master: Optional[TabletMaster] = None
+    ) -> "ScaleOutCluster":
+        """A one-shard in-process federation over an existing stack.
+
+        The caller's indexer, ``cluster`` and optional tablet ``master``
+        are installed into the shard's service as they are — no rebuild,
+        no preload — so the caller keeps observing the very objects the
+        federation drives.  The recipe only describes the stack's shape
+        for the fields the parent reads.
+        """
+        if master is not None and master.cluster is not cluster:
+            raise ConfigurationError("the tablet master drives another cluster")
+        recipe = ShardRecipe(
+            num_objects=0,
+            num_servers=cluster.num_servers,
+            record_service_times=cluster.servers[0].record_service_times,
+            with_master=master is not None,
+        )
+        backend = LocalShardedBackend([recipe], build=False)
+        service = backend.clients[0].service
+        service.recipe = recipe
+        service.indexer = cluster.indexer
+        service.cluster = cluster
+        service.master = master
+        return cls(backend)
+
     # ------------------------------------------------------------------
     # Request routing
     # ------------------------------------------------------------------
     def shard_for(self, object_id: str) -> int:
         """Owning shard of ``object_id`` (stable, worker-count independent)."""
         return shard_of(object_id, self.num_shards)
-
-    def submit_update(self, message: UpdateMessage) -> int:
-        """Route one update to its owning shard (single-request path)."""
-        return self.submit_update_batch([message])
 
     def submit_update_batch(self, messages: Sequence[UpdateMessage]) -> int:
         """Partition a batch by owning shard, dispatch, and wait for it.
@@ -693,32 +724,27 @@ class ScaleOutCluster:
 
         One read-only broadcast collects each shard's samples (flattened
         in server order worker-side); the parent concatenates them in fixed
-        shard order and applies exactly
-        :meth:`repro.server.cluster.ServerCluster.service_time_percentile`'s
-        arithmetic, so the result is identical for every worker count,
-        backend and window size — and 0.0 unless the recipes set
-        ``record_service_times``, matching the single-cluster build.
+        shard order and applies the single-cluster rule
+        (:func:`repro.server.cluster.sample_percentile`), so the result is
+        identical for every worker count, backend and window size — and
+        0.0 unless the recipes set ``record_service_times``.
         """
-        if not 0.0 < quantile <= 1.0:
-            raise ConfigurationError("quantile must be in (0, 1]")
-        if not self.recipes[0].record_service_times:
-            # No shard has samples; skip the broadcast so non-recording
-            # runs keep their exact pre-p99 wire-frame counts.
-            return 0.0
         samples: List[float] = []
-        for shard_samples in self._broadcast("service_time_samples"):
-            samples.extend(shard_samples)
-        if not samples:
-            return 0.0
-        samples.sort()
-        rank = max(int(len(samples) * quantile) - 1, 0)
-        return samples[rank]
+        # No shard has samples without recording: skip the broadcast so
+        # non-recording runs keep their exact wire-frame counts.
+        if self.recipes[0].record_service_times:
+            for shard_samples in self._broadcast("service_time_samples"):
+                samples.extend(shard_samples)
+        return sample_percentile(samples, quantile)
 
-    def master_action_counts(self) -> Tuple[int, int, int]:
+    def master_action_counts(
+        self, metrics: Optional[List[Dict[str, object]]] = None
+    ) -> Tuple[int, int, int]:
         """Cumulative ``(migrations, replications, failovers)`` summed
-        across shards (all zero without masters)."""
+        across shards (all zero without masters), from a :meth:`metrics`
+        read the caller already holds or a fresh one."""
         migrations = replications = failovers = 0
-        for entry in self.metrics():
+        for entry in self.metrics() if metrics is None else metrics:
             actions = entry["master_actions"]
             migrations += actions[0]
             replications += actions[1]
@@ -744,21 +770,14 @@ class ScaleOutCluster:
         kind: str,
         server_id: Optional[int] = None,
         crash_point: Optional[str] = None,
-        describe_prefix: str = "",
     ) -> List[str]:
         """Broadcast one fault to every shard, with load-test skip
-        semantics applied shard-side.  Returns one description per shard
-        (shard order), each tagged with the shard it fired on."""
+        semantics applied shard-side.  Returns each shard's outcome text
+        (:meth:`repro.server.worker.ShardService.apply_fault`), in shard
+        order."""
         self._require_master()
-        return self._dispatch(
-            [
-                (shard_id, rpc.OP_CALL, ("apply_fault", (kind,), {
-                    "server_id": server_id,
-                    "crash_point": crash_point,
-                    "describe_prefix": f"{describe_prefix}shard {shard_id} ",
-                }))
-                for shard_id in range(self.num_shards)
-            ]
+        return self._broadcast(
+            "apply_fault", kind, server_id=server_id, crash_point=crash_point
         )
 
     # ------------------------------------------------------------------

@@ -45,7 +45,7 @@ from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server import rpc
 from repro.server.cluster import ServerCluster
-from repro.server.master import MasterOptions, TabletMaster
+from repro.server.master import CRASH_AFTER_HANDOFF, MasterOptions, TabletMaster
 
 _UPDATE_RESULT = struct.Struct("!Id")  # processed, makespan
 _MAKESPAN = struct.Struct("!d")
@@ -624,39 +624,39 @@ class ShardService:
         kind: str,
         server_id: Optional[int] = None,
         crash_point: Optional[str] = None,
-        describe_prefix: str = "",
     ) -> str:
         """One scheduled fault with load-test skip semantics: unfireable
         events (crashing the last alive server, reviving an alive one, a
         migration with nowhere to go) are recorded as skipped, never
-        raised — a seeded plan cannot know shard state at schedule time."""
+        raised — a seeded plan cannot know shard state at schedule time.
+
+        Returns the outcome text the load test appends to the event's
+        description (empty for a revival)."""
         from repro.server.loadtest import CRASH_SERVER, REVIVE_SERVER
 
         master = self._require_master()
         cluster = self._require_cluster()
         if server_id is not None and server_id >= cluster.num_servers:
-            return f"{describe_prefix}[skipped]"
+            # A seeded plan built for a bigger cluster: nothing to do.
+            return "[skipped]"
         if kind == CRASH_SERVER:
             server = cluster.servers[server_id]
             if not server.alive or len(cluster.alive_server_indices()) <= 1:
-                return f"{describe_prefix}[skipped]"
+                return "[skipped]"
             report = master.fail_over(server_id)
             return (
-                f"{describe_prefix}[{report.tablets_recovered} tablets "
-                f"recovered, {report.log_records_replayed} records replayed]"
+                f"[{report.tablets_recovered} tablets recovered, "
+                f"{report.log_records_replayed} records replayed]"
             )
         if kind == REVIVE_SERVER:
             if cluster.servers[server_id].alive:
-                return f"{describe_prefix}[skipped]"
+                return "[skipped]"
             cluster.revive_server(server_id)
-            return f"{describe_prefix}[applied]"
-        record = master.inject_migration_crash(crash_point or "after_handoff")
+            return ""
+        record = master.inject_migration_crash(crash_point or CRASH_AFTER_HANDOFF)
         if record is None:
-            return f"{describe_prefix}[skipped]"
-        return (
-            f"{describe_prefix}[{record.tablet_id} "
-            f"{record.source}->{record.target} aborted]"
-        )
+            return "[skipped]"
+        return f"[{record.tablet_id} {record.source}->{record.target} aborted]"
 
     # ------------------------------------------------------------------
     # Storage durability

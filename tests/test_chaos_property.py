@@ -30,7 +30,7 @@ from repro.server.chaos import (
     ChaosEvent,
     ChaosPlan,
 )
-from repro.server.loadtest import ScaleOutLoadTest
+from repro.server.loadtest import LoadTest
 from repro.server.scaleout import ScaleOutCluster
 from repro.server.worker import ShardRecipe, dispatch_request
 from repro.workload.queries import NNQuery
@@ -84,7 +84,7 @@ def _cluster(backend, workers, policy=None, retry=None, breaker=5, **kwargs):
 
 
 def _run(cluster, chaos_plan=None):
-    test = ScaleOutLoadTest(
+    test = LoadTest(
         cluster, failure_probability=0.01, seed=404, chaos_plan=chaos_plan
     )
     return test.run_mixed_batches(MESSAGES, QUERIES, batch_size=128)
@@ -300,7 +300,7 @@ class TestSupervisionGuards:
         cluster = _cluster("inprocess", 1)
         try:
             with pytest.raises(ConfigurationError, match="supervised"):
-                ScaleOutLoadTest(
+                LoadTest(
                     cluster, chaos_plan=ChaosPlan([ChaosEvent(1, 0, KILL_WORKER)])
                 )
         finally:

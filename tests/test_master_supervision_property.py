@@ -27,7 +27,7 @@ from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
 from repro.server import rpc
 from repro.server.chaos import ChaosPlan
-from repro.server.loadtest import ScaleOutLoadTest
+from repro.server.loadtest import LoadTest
 from repro.server.master import MasterOptions
 from repro.server.scaleout import ScaleOutCluster
 from repro.bigtable.process_backend import make_scaleout_backend
@@ -101,7 +101,7 @@ def _cluster(backend, workers, policy=None, retry=None, window=1, **kwargs):
 
 
 def _run(cluster, chaos_plan=None, fault_plan=None):
-    test = ScaleOutLoadTest(
+    test = LoadTest(
         cluster,
         failure_probability=0.01,
         seed=404,
@@ -337,7 +337,7 @@ class TestFaultFoldingGuards:
         )
         try:
             with pytest.raises(ConfigurationError, match="not both"):
-                ScaleOutLoadTest(
+                LoadTest(
                     cluster,
                     chaos_plan=plan,
                     fault_plan=plan.fault_plan,

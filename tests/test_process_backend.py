@@ -23,11 +23,15 @@ from repro.bigtable.process_backend import (
     make_scaleout_backend,
 )
 from repro.errors import ConfigurationError, WorkerDiedError
+from repro.experiments.common import uniform_leader_indexer
 from repro.geometry.point import Point
 from repro.geometry.vector import Vector
 from repro.model import UpdateMessage, format_object_id
-from repro.server.loadtest import FaultPlan, ScaleOutLoadTest
+from repro.server.cluster import ServerCluster
+from repro.server.loadtest import FaultPlan, LoadTest
+from repro.server.master import TabletMaster
 from repro.server.scaleout import ScaleOutCluster
+from repro.server.worker import ShardRecipe, ShardService
 from repro.workload.queries import NNQuery
 
 
@@ -191,9 +195,24 @@ class TestLedgerMergeDeterminism:
 # Byte-identical load-test reports (the acceptance determinism gate)
 # --------------------------------------------------------------------------
 class TestScaleOutReportDeterminism:
-    def _report(self, backend_kind, num_workers):
+    def _drive(self, cluster, master=None):
+        plan = FaultPlan.seeded(5, num_batches=6, num_servers=3)
+        test = LoadTest(
+            cluster,
+            failure_probability=0.01,
+            seed=404,
+            master=master,
+            rebalance_every=2,
+            fault_plan=plan,
+        )
+        result = test.run_mixed_batches(
+            make_messages(500, 400), make_queries(100), batch_size=128
+        )
+        return result.to_report()
+
+    def _report(self, backend_kind, num_workers, num_shards=4):
         cluster = ScaleOutCluster.build(
-            4,
+            num_shards,
             backend=backend_kind,
             num_workers=num_workers,
             num_objects=400,
@@ -201,18 +220,7 @@ class TestScaleOutReportDeterminism:
             num_servers=3,
             with_master=True,
         )
-        plan = FaultPlan.seeded(5, num_batches=6, num_servers=3)
-        test = ScaleOutLoadTest(
-            cluster,
-            failure_probability=0.01,
-            seed=404,
-            rebalance_every=2,
-            fault_plan=plan,
-        )
-        result = test.run_mixed_batches(
-            make_messages(500, 400), make_queries(100), batch_size=128
-        )
-        report = result.to_report()
+        report = self._drive(cluster)
         cluster.close()
         return report
 
@@ -220,6 +228,17 @@ class TestScaleOutReportDeterminism:
         reference = self._report("inprocess", 1)
         for workers in (1, 2, 4):
             assert self._report("process", workers) == reference
+
+    def test_single_cluster_report_matches_one_shard_federation(self):
+        # A plain ServerCluster + TabletMaster, built by the recipe a
+        # one-shard federation's worker builds.
+        service = ShardService()
+        service.build_indexer(
+            ShardRecipe(num_objects=400, seed=17, num_servers=3, with_master=True)
+        )
+        report = self._drive(service.cluster, master=service.master)
+        assert "migration_crash" in report
+        assert report == self._report("process", 1, num_shards=1)
 
     def test_fault_descriptions_name_every_shard(self):
         cluster = ScaleOutCluster.build(
@@ -231,7 +250,7 @@ class TestScaleOutReportDeterminism:
             with_master=True,
         )
         try:
-            test = ScaleOutLoadTest(
+            test = LoadTest(
                 cluster,
                 failure_probability=0.0,
                 fault_plan=FaultPlan.seeded(1, num_batches=2, num_servers=2),
@@ -249,12 +268,17 @@ class TestScaleOutReportDeterminism:
         )
         try:
             with pytest.raises(ConfigurationError):
-                ScaleOutLoadTest(cluster, rebalance_every=2)
+                LoadTest(cluster, rebalance_every=2)
             with pytest.raises(ConfigurationError):
-                ScaleOutLoadTest(
+                LoadTest(
                     cluster, fault_plan=FaultPlan.seeded(1, 2, 2)
                 )
             with pytest.raises(ConfigurationError):
-                ScaleOutLoadTest(cluster).run_client_bursts(1.0)
+                LoadTest(cluster).run_client_bursts(1.0)
+            with pytest.raises(ConfigurationError):
+                LoadTest(cluster).run_updates(make_messages(10, 100))
+            single = ServerCluster(uniform_leader_indexer(50, seed=1), num_servers=2)
+            with pytest.raises(ConfigurationError):
+                LoadTest(cluster, master=TabletMaster(single))
         finally:
             cluster.close()

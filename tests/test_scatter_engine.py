@@ -65,9 +65,7 @@ QUERIES = make_queries(60)
 #: reports, so the healed run can be compared with an uninterrupted one.
 VERBS = {
     "rebalance": lambda cluster: cluster.rebalance(),
-    "apply_fault": lambda cluster: cluster.apply_fault(
-        CRASH_SERVER, server_id=0, describe_prefix="crash server 0 "
-    ),
+    "apply_fault": lambda cluster: cluster.apply_fault(CRASH_SERVER, server_id=0),
 }
 
 
